@@ -58,6 +58,14 @@
 //!     identical candidate pools — equality is asserted on every run — plus
 //!     assignment-only time and code width over the item-10 generated grid
 //!     (`assign.s{states}.d{density}.{ms,vars}`).
+//! 13. the Step-6 covering kernels: the bitset Petrick expansion and the
+//!     incrementally scored sharp greedy vs the set-based kernels retained
+//!     in `fantom_bench::reference::petrick`, over every function the sparse
+//!     pipeline covers for two pinned `scale`-tier machines
+//!     (`petrick.s80.d{25,75}.{exact_ns,exact_ref_ns,sharp_ms,sharp_ref_ms}`):
+//!     `exact_*` sums every exact-sized fragment table, `sharp_*` every
+//!     function past `FRAGMENT_LIMIT`; identical selections are asserted on
+//!     every run.
 //!
 //! Usage:
 //!
@@ -999,6 +1007,102 @@ fn assign_index_metrics(out: &mut BTreeMap<String, f64>) {
     }
 }
 
+/// Item 13: the Step-6 covering kernels vs the retained set-based
+/// references, on every function the sparse pipeline covers (`fsv`, the
+/// stable-state detector, the outputs and Y) for the first draw of the
+/// `scale` tier's 80-state shapes — the draws where both the exact fragment
+/// table and the `FRAGMENT_LIMIT` sharp fallback run. Every selection is
+/// asserted identical to the reference's, so the reference can never
+/// silently drift from the production kernels.
+fn petrick_metrics(out: &mut BTreeMap<String, f64>) {
+    use fantom_bench::reference::petrick as reference;
+    use fantom_bench::scale_tier_machine;
+    use fantom_boolean::petrick;
+
+    let options = SynthesisOptions {
+        parallel_factoring: false,
+        ..SynthesisOptions::for_large_machines()
+    };
+    for dc in [0.25f64, 0.75] {
+        let table = scale_tier_machine(0, 80, dc);
+        let result = synthesize_sparse(&table, &options).expect("tier machine synthesizes");
+        let mut tables = Vec::new();
+        let mut sharp = Vec::new();
+        let functions = [&result.equations.fsv, &result.outputs.ssd]
+            .into_iter()
+            .chain(&result.outputs.z)
+            .chain(&result.equations.y);
+        for f in functions {
+            let primes = f.expand_primes();
+            match petrick::covering_table(f, &primes) {
+                None => sharp.push((f, primes)),
+                Some(t) if !t.rows.is_empty() && t.exact_sized() => tables.push((primes, t.rows)),
+                Some(_) => {}
+            }
+        }
+        assert!(
+            !tables.is_empty() && !sharp.is_empty(),
+            "s80 d{dc}: both kernels must run"
+        );
+        let exact = || {
+            tables
+                .iter()
+                .map(|(primes, rows)| petrick::petrick_exact(primes, rows, 2_000))
+                .collect::<Vec<_>>()
+        };
+        let exact_ref = || {
+            tables
+                .iter()
+                .map(|(primes, rows)| {
+                    let rows: Vec<&Vec<usize>> = rows.iter().collect();
+                    reference::petrick_exact_table(primes, &rows)
+                })
+                .collect::<Vec<_>>()
+        };
+        for ((ours, oracle), (_, rows)) in exact().into_iter().zip(exact_ref()).zip(&tables) {
+            let rows: Vec<&Vec<usize>> = rows.iter().collect();
+            assert_eq!(
+                ours.unwrap_or_else(|| reference::greedy_table(&rows)),
+                oracle,
+                "s80 d{dc}: exact table"
+            );
+        }
+        for (f, primes) in &sharp {
+            assert_eq!(
+                petrick::greedy_sharp_cover(f, primes),
+                reference::greedy_sharp_cover(f, primes),
+                "s80 d{dc}: sharp greedy"
+            );
+        }
+        let exact_ns = time_ns(|| exact().len());
+        let exact_ref_ns = time_ns(|| exact_ref().len());
+        let sharp_pass =
+            |kernel: fn(&fantom_boolean::CoverFunction, &[Cube]) -> fantom_boolean::Cover| {
+                let runs = 3;
+                let start = Instant::now();
+                for _ in 0..runs {
+                    for (f, primes) in &sharp {
+                        std::hint::black_box(kernel(f, primes));
+                    }
+                }
+                start.elapsed().as_secs_f64() * 1e3 / f64::from(runs)
+            };
+        let sharp_ms = sharp_pass(petrick::greedy_sharp_cover);
+        let sharp_ref_ms = sharp_pass(reference::greedy_sharp_cover);
+
+        let key = format!("petrick.s80.d{}", (dc * 100.0) as u32);
+        println!(
+            "  {key:<16} exact {exact_ns:>11.0} ns (sets {exact_ref_ns:>11.0} ns, {} tables)   sharp {sharp_ms:>8.3} ms (rescan {sharp_ref_ms:>8.3} ms, {} functions)",
+            tables.len(),
+            sharp.len()
+        );
+        out.insert(format!("{key}.exact_ns"), exact_ns);
+        out.insert(format!("{key}.exact_ref_ns"), exact_ref_ns);
+        out.insert(format!("{key}.sharp_ms"), sharp_ms);
+        out.insert(format!("{key}.sharp_ref_ms"), sharp_ref_ms);
+    }
+}
+
 fn synthesis_metrics(out: &mut BTreeMap<String, f64>) {
     // Paper suite through the dense pipeline (PR 1 continuity).
     let options = table1_options();
@@ -1198,6 +1302,8 @@ fn main() {
     assignment_metrics(&mut metrics);
     println!("\nindexed assignment engine vs scalar references:");
     assign_index_metrics(&mut metrics);
+    println!("\nStep-6 covering kernels vs set-based references:");
+    petrick_metrics(&mut metrics);
     println!("\nhazard factoring (Step 7):");
     factoring_metrics(&mut metrics);
     println!("\nend-to-end synthesis:");

@@ -77,6 +77,29 @@ pub const PAPER_TABLE1: [PaperRow; 5] = [
     },
 ];
 
+/// Seed of the `scale` benchmark's pinned tier of generator draws (the same
+/// value as `TIER_SEED` in `perfbench/src/scale.rs`).
+pub const SCALE_TIER_SEED: u64 = 0x5EED_F10C;
+
+/// Draw `draw` of the `scale` benchmark's pinned tier for one
+/// `(states, dc_density)` shape — the machine `perfbench` synthesizes, made
+/// here so tests and `bench_json` can pin the same inputs.
+pub fn scale_tier_machine(draw: u64, states: usize, dc_density: f64) -> FlowTable {
+    use fantom_flow::generate::{generate, GeneratorOptions};
+    // The benchmark's draw-seed mixer (splitmix64 finalizer).
+    let mut z = SCALE_TIER_SEED
+        .wrapping_add(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(draw.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    generate(&GeneratorOptions {
+        seed: z ^ (z >> 31),
+        states,
+        dc_density,
+        ..GeneratorOptions::default()
+    })
+}
+
 /// Synthesis options used for the Table-1 reproduction: the reconstructed
 /// benchmark tables are treated as already reduced (see `DESIGN.md`,
 /// "Substitutions"), so Step 2 is skipped to keep the canonical state counts.

@@ -462,3 +462,357 @@ pub fn scalar_greedy_cover(covers: &[fantom_boolean::MintermSet], num: usize) ->
     }
     chosen
 }
+
+/// The covering kernels of `fantom_boolean::petrick` as they stood before
+/// the bitset Petrick expansion and the incremental sharp-greedy scoring,
+/// retained verbatim as the differential oracle and micro-benchmark
+/// reference: `BTreeSet` products cloned and subset-tested with a quadratic
+/// absorption pass, and a sharp greedy that rescans every prime against
+/// every remaining cube and re-compacts the whole remainder each round.
+/// The production kernels must return the same [`Cover`] on every input.
+pub mod petrick {
+    use std::collections::BTreeSet;
+
+    use fantom_boolean::{Cover, CoverFunction, CoverIndex, Cube, Function};
+
+    /// Upper bound on `primes × uncovered-minterms` for which the exact Petrick
+    /// expansion is attempted before falling back to the greedy heuristic.
+    pub const PETRICK_EXACT_LIMIT: usize = 2_000;
+
+    /// Upper bound on covering-table rows produced by fragmenting an on-set cover
+    /// against the primes ([`minimum_cover_sparse`]); beyond it the sharp-based
+    /// greedy selection is used instead.
+    pub const FRAGMENT_LIMIT: usize = 2_048;
+
+    /// Select a minimum (or near-minimum) subset of `primes` covering the on-set
+    /// of `f`, always including every essential prime implicant.
+    ///
+    /// The result is the "essential SOP expression" the paper refers to in
+    /// Steps 4 and 6.
+    pub fn minimum_cover(f: &Function, primes: &[Cube]) -> Cover {
+        let n = f.num_vars();
+        if primes.is_empty() {
+            return Cover::empty(n);
+        }
+
+        let mut selected: Vec<usize> = Vec::new();
+
+        // 1. Essential primes.
+        let on: Vec<u64> = f.on_minterms().collect();
+        for &m in &on {
+            let mut covering = (0..primes.len()).filter(|&i| primes[i].contains_minterm(m));
+            if let (Some(i), None) = (covering.next(), covering.next()) {
+                if !selected.contains(&i) {
+                    selected.push(i);
+                }
+            }
+        }
+
+        // 2. Remaining on-set minterms: those no selected prime covers. Checked
+        // from the on-set side (word-parallel membership per prime) — never by
+        // enumerating a prime's own minterm set, which is exponential in its
+        // free variables.
+        let remaining: Vec<u64> = on
+            .iter()
+            .copied()
+            .filter(|&m| !selected.iter().any(|&i| primes[i].contains_minterm(m)))
+            .collect();
+        if remaining.is_empty() {
+            return build_cover(n, primes, &selected);
+        }
+
+        // Candidate primes that cover at least one remaining minterm.
+        let candidates: Vec<usize> = (0..primes.len())
+            .filter(|&i| !selected.contains(&i))
+            .filter(|&i| remaining.iter().any(|&m| primes[i].contains_minterm(m)))
+            .collect();
+
+        let extra = if candidates.len() * remaining.len() <= PETRICK_EXACT_LIMIT {
+            petrick_exact(primes, &candidates, &remaining)
+        } else {
+            greedy_cover(primes, &candidates, &remaining)
+        };
+        selected.extend(extra);
+        build_cover(n, primes, &selected)
+    }
+
+    fn build_cover(num_vars: usize, primes: &[Cube], selected: &[usize]) -> Cover {
+        let mut idx: Vec<usize> = selected.to_vec();
+        idx.sort_unstable();
+        idx.dedup();
+        Cover::from_cubes(
+            num_vars,
+            idx.into_iter().map(|i| primes[i].clone()).collect(),
+        )
+    }
+
+    /// Petrick's method: expand the product of sums of covering primes into a sum
+    /// of products (sets of prime indices), keeping only minimal sets, and return
+    /// the cheapest one (fewest primes, then fewest literals).
+    pub fn petrick_exact(primes: &[Cube], candidates: &[usize], remaining: &[u64]) -> Vec<usize> {
+        // Each element of `products` is one conjunction: a set of selected primes.
+        let mut products: Vec<BTreeSet<usize>> = vec![BTreeSet::new()];
+        for &m in remaining {
+            let covering: Vec<usize> = candidates
+                .iter()
+                .copied()
+                .filter(|&i| primes[i].contains_minterm(m))
+                .collect();
+            if covering.is_empty() {
+                // Minterm not coverable by the candidates (should not happen when
+                // primes were generated for the same function); skip it.
+                continue;
+            }
+            let mut next: Vec<BTreeSet<usize>> = Vec::new();
+            for product in &products {
+                for &p in &covering {
+                    let mut grown = product.clone();
+                    grown.insert(p);
+                    next.push(grown);
+                }
+            }
+            absorb(&mut next);
+            // Keep the expansion bounded even in adversarial cases.
+            if next.len() > 10_000 {
+                return greedy_cover(primes, candidates, remaining);
+            }
+            products = next;
+        }
+
+        products
+            .into_iter()
+            .min_by_key(|set| {
+                let lits: usize = set.iter().map(|&i| primes[i].literal_count()).sum();
+                (set.len(), lits)
+            })
+            .map(|set| set.into_iter().collect())
+            .unwrap_or_default()
+    }
+
+    /// Remove any product term that is a superset of another (absorption law).
+    pub fn absorb(products: &mut Vec<BTreeSet<usize>>) {
+        products.sort_by_key(BTreeSet::len);
+        let mut kept: Vec<BTreeSet<usize>> = Vec::with_capacity(products.len());
+        'outer: for p in products.drain(..) {
+            for k in &kept {
+                if k.is_subset(&p) {
+                    continue 'outer;
+                }
+            }
+            kept.push(p);
+        }
+        *products = kept;
+    }
+
+    /// Greedy set cover: repeatedly pick the prime covering the most remaining
+    /// minterms (ties broken by fewer literals). The shrinking uncovered set is a
+    /// plain vector scanned against the word-parallel `contains_minterm`, keeping
+    /// every round O(|uncovered|) per candidate — never by enumerating a prime's
+    /// own minterms (exponential in its free variables) and never by walking a
+    /// dense 2ⁿ bitset when only a handful of minterms remain.
+    pub fn greedy_cover(primes: &[Cube], candidates: &[usize], remaining: &[u64]) -> Vec<usize> {
+        let mut uncovered: Vec<u64> = remaining.to_vec();
+        let mut chosen = Vec::new();
+        while !uncovered.is_empty() {
+            let best = candidates
+                .iter()
+                .copied()
+                .filter(|&i| !chosen.contains(&i))
+                .max_by_key(|&i| {
+                    let gain = uncovered
+                        .iter()
+                        .filter(|&&m| primes[i].contains_minterm(m))
+                        .count();
+                    (gain, usize::MAX - primes[i].literal_count())
+                });
+            let Some(best) = best else { break };
+            let before = uncovered.len();
+            uncovered.retain(|&m| !primes[best].contains_minterm(m));
+            if uncovered.len() == before {
+                break;
+            }
+            chosen.push(best);
+        }
+        chosen
+    }
+
+    /// Select a minimum (or near-minimum) subset of `primes` covering the on-set
+    /// of a sparse [`CoverFunction`], without enumerating minterms.
+    ///
+    /// The covering table is built **cover-based**: the on-set cubes are
+    /// fragmented against the primes (splitting a row into its intersection with
+    /// a prime and the disjoint-sharp remainder) until every fragment is either
+    /// inside or disjoint from each prime. Fragments then play the role the
+    /// minterms play in the dense [`minimum_cover`]: fragments covered by exactly
+    /// one prime make that prime essential, the residual table is solved by the
+    /// exact Petrick expansion when small and greedily otherwise. If
+    /// fragmentation explodes past the internal `FRAGMENT_LIMIT` rows, a sharp-based greedy
+    /// selection (repeatedly subtracting the best prime from the uncovered cover)
+    /// is used instead.
+    pub fn minimum_cover_sparse(f: &CoverFunction, primes: &[Cube]) -> Cover {
+        let n = f.num_vars();
+        if primes.is_empty() || f.on_cover().is_empty() {
+            return Cover::empty(n);
+        }
+
+        // 1. Fragment the on-set against the primes.
+        let mut rows: Vec<Cube> = f.on_cover().make_disjoint().cubes().to_vec();
+        let mut next: Vec<Cube> = Vec::with_capacity(rows.len());
+        for p in primes {
+            next.clear();
+            for r in rows.drain(..) {
+                match r.intersect(p) {
+                    None => next.push(r),
+                    Some(_) if p.covers(&r) => next.push(r),
+                    Some(inside) => {
+                        next.push(inside);
+                        next.extend(r.sharp(p));
+                    }
+                }
+            }
+            std::mem::swap(&mut rows, &mut next);
+            if rows.len() > FRAGMENT_LIMIT {
+                return greedy_sharp_cover(f, primes);
+            }
+        }
+
+        // 2. Incidence: which primes cover each fragment entirely — answered by
+        // the prime index's exact covering-candidate bitsets instead of a
+        // rows × primes containment scan.
+        let prime_index = CoverIndex::build(&Cover::from_cubes(n, primes.to_vec()));
+        let mut cand: Vec<u64> = Vec::new();
+        let mut ids: Vec<usize> = Vec::new();
+        let coverers: Vec<Vec<usize>> = rows
+            .iter()
+            .map(|r| {
+                prime_index.covering_ids(r, &mut cand, &mut ids);
+                ids.clone()
+            })
+            .collect();
+
+        // 3. Essential primes: sole coverer of some fragment.
+        let mut selected: Vec<usize> = Vec::new();
+        for c in &coverers {
+            if let [only] = c.as_slice() {
+                if !selected.contains(only) {
+                    selected.push(*only);
+                }
+            }
+        }
+
+        // 4. Residual rows and candidates.
+        let residual: Vec<&Vec<usize>> = coverers
+            .iter()
+            .filter(|c| !c.is_empty() && !c.iter().any(|i| selected.contains(i)))
+            .collect();
+        if residual.is_empty() {
+            return build_cover(n, primes, &selected);
+        }
+        let mut candidates: Vec<usize> = residual.iter().flat_map(|c| c.iter().copied()).collect();
+        candidates.sort_unstable();
+        candidates.dedup();
+
+        let extra = if candidates.len() * residual.len() <= PETRICK_EXACT_LIMIT {
+            petrick_exact_table(primes, &residual)
+        } else {
+            greedy_table(&residual)
+        };
+        selected.extend(extra);
+        build_cover(n, primes, &selected)
+    }
+
+    /// Exact Petrick expansion over a fragment covering table: each row
+    /// contributes the sum of its covering primes; products are expanded with
+    /// absorption and the cheapest product (fewest primes, then fewest literals)
+    /// is returned.
+    pub fn petrick_exact_table(primes: &[Cube], rows: &[&Vec<usize>]) -> Vec<usize> {
+        let mut products: Vec<BTreeSet<usize>> = vec![BTreeSet::new()];
+        for covering in rows {
+            let mut next: Vec<BTreeSet<usize>> = Vec::new();
+            for product in &products {
+                if product.iter().any(|i| covering.contains(i)) {
+                    next.push(product.clone());
+                    continue;
+                }
+                for &p in covering.iter() {
+                    let mut grown = product.clone();
+                    grown.insert(p);
+                    next.push(grown);
+                }
+            }
+            absorb(&mut next);
+            // Tighter than the dense bailout: absorb is quadratic in the product
+            // count, and the fragment tables of large sparse functions hit the
+            // worst case far more often than small dense residuals do.
+            if next.len() > 2_000 {
+                return greedy_table(rows);
+            }
+            products = next;
+        }
+        products
+            .into_iter()
+            .min_by_key(|set| {
+                let lits: usize = set.iter().map(|&i| primes[i].literal_count()).sum();
+                (set.len(), lits)
+            })
+            .map(|set| set.into_iter().collect())
+            .unwrap_or_default()
+    }
+
+    /// Greedy set cover over a fragment covering table: repeatedly pick the prime
+    /// covering the most uncovered rows.
+    pub fn greedy_table(rows: &[&Vec<usize>]) -> Vec<usize> {
+        let mut uncovered: Vec<usize> = (0..rows.len()).collect();
+        let mut chosen: Vec<usize> = Vec::new();
+        while !uncovered.is_empty() {
+            let best = uncovered
+                .iter()
+                .flat_map(|&r| rows[r].iter().copied())
+                .filter(|i| !chosen.contains(i))
+                .max_by_key(|&i| uncovered.iter().filter(|&&r| rows[r].contains(&i)).count());
+            let Some(best) = best else { break };
+            chosen.push(best);
+            uncovered.retain(|&r| !rows[r].contains(&best));
+        }
+        chosen
+    }
+
+    /// Sharp-based greedy selection used when fragmentation is too expensive:
+    /// subtract the chosen prime from the remaining on-set cover each round.
+    /// Terminates after at most `primes.len()` rounds (each prime is chosen at
+    /// most once, and expansion primes jointly cover the on-set).
+    pub fn greedy_sharp_cover(f: &CoverFunction, primes: &[Cube]) -> Cover {
+        let n = f.num_vars();
+        let mut remaining: Cover = f.on_cover().clone();
+        remaining.remove_contained_cubes();
+        let mut used = vec![false; primes.len()];
+        let mut chosen: Vec<usize> = Vec::new();
+        while !remaining.is_empty() {
+            let best = (0..primes.len())
+                .filter(|&i| !used[i])
+                .map(|i| {
+                    let full = remaining
+                        .cubes()
+                        .iter()
+                        .filter(|c| primes[i].covers(c))
+                        .count();
+                    let part = remaining
+                        .cubes()
+                        .iter()
+                        .filter(|c| primes[i].intersect(c).is_some())
+                        .count();
+                    (part, full, i)
+                })
+                .filter(|&(part, _, _)| part > 0)
+                .max_by_key(|&(part, full, i)| {
+                    (full, part, usize::MAX - primes[i].literal_count())
+                });
+            let Some((_, _, best)) = best else { break };
+            used[best] = true;
+            chosen.push(best);
+            remaining = remaining.sharp_cube(&primes[best]);
+            remaining.remove_contained_cubes();
+        }
+        build_cover(n, primes, &chosen)
+    }
+}

@@ -351,14 +351,14 @@ fn mask_tail(cand: &mut [u64], len: usize) {
 }
 
 /// Iterator over the set-bit positions of a word slice, ascending.
-struct BitIds<'a> {
+pub(crate) struct BitIds<'a> {
     words: &'a [u64],
     word_idx: usize,
     bits: u64,
 }
 
 impl<'a> BitIds<'a> {
-    fn new(words: &'a [u64]) -> Self {
+    pub(crate) fn new(words: &'a [u64]) -> Self {
         BitIds {
             words,
             word_idx: 0,

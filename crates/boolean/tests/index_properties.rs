@@ -1,13 +1,15 @@
 //! Differential property tests pinning the **indexed** Step 5/7 engines —
 //! [`hazard::static_hazard_regions`], [`hazard::add_consensus_terms_cover`],
-//! [`hazard::add_consensus_terms_on_pairs`] and
-//! [`petrick::minimum_cover_sparse`] — against verbatim copies of the
+//! [`hazard::add_consensus_terms_on_pairs`] — and the Step 6 covering
+//! kernels — [`petrick::minimum_cover_sparse`], [`petrick::minimum_cover`],
+//! the bitset [`petrick::petrick_exact`] and the incrementally scored
+//! [`petrick::greedy_sharp_cover`] — against verbatim copies of the
 //! pre-index (PR 2–4) implementations used as oracles.
 //!
 //! Two kinds of pin:
 //!
-//! * where the indexed rewrite is a pure reorganisation (the sparse covering
-//!   table), results must be **identical**;
+//! * where the rewrite is a pure reorganisation (the covering table and
+//!   both covering kernels), results must be **identical**;
 //! * where subtraction order and region dedup legitimately change the cube
 //!   decomposition (hazard regions, consensus augmentation), results must be
 //!   **equally valid**: same hazardous-pair semantics, base cubes preserved,
@@ -21,7 +23,7 @@
 
 use std::collections::BTreeSet;
 
-use fantom_boolean::{hazard, petrick, Cover, CoverFunction, Cube, Literal};
+use fantom_boolean::{hazard, petrick, quine, Cover, CoverFunction, Cube, Function, Literal};
 use proptest::prelude::*;
 
 const NUM_VARS: usize = 6;
@@ -189,6 +191,9 @@ fn oracle_add_consensus_terms_on_pairs(on: &Cover, off: &Cover, base: &Cover) ->
 
 /// Pre-index `minimum_cover_sparse` with its private helpers, copied from
 /// the PR 2 implementation (linear containment scans, no prime index).
+///
+/// The dense `minimum_cover` below keeps the `BTreeSet` Petrick expansion
+/// the bitset kernel replaced.
 mod oracle_petrick {
     use super::*;
 
@@ -219,7 +224,7 @@ mod oracle_petrick {
         *products = kept;
     }
 
-    fn petrick_exact_table(primes: &[Cube], rows: &[&Vec<usize>]) -> Vec<usize> {
+    pub fn petrick_exact_table(primes: &[Cube], rows: &[&Vec<usize>]) -> Vec<usize> {
         let mut products: Vec<BTreeSet<usize>> = vec![BTreeSet::new()];
         for covering in rows {
             let mut next: Vec<BTreeSet<usize>> = Vec::new();
@@ -250,7 +255,7 @@ mod oracle_petrick {
             .unwrap_or_default()
     }
 
-    fn greedy_table(rows: &[&Vec<usize>]) -> Vec<usize> {
+    pub fn greedy_table(rows: &[&Vec<usize>]) -> Vec<usize> {
         let mut uncovered: Vec<usize> = (0..rows.len()).collect();
         let mut chosen: Vec<usize> = Vec::new();
         while !uncovered.is_empty() {
@@ -266,7 +271,7 @@ mod oracle_petrick {
         chosen
     }
 
-    fn greedy_sharp_cover(f: &CoverFunction, primes: &[Cube]) -> Cover {
+    pub fn greedy_sharp_cover(f: &CoverFunction, primes: &[Cube]) -> Cover {
         let n = f.num_vars();
         let mut remaining: Cover = f.on_cover().clone();
         remaining.remove_contained_cubes();
@@ -353,6 +358,103 @@ mod oracle_petrick {
         };
         selected.extend(extra);
         build_cover(n, primes, &selected)
+    }
+
+    pub fn minimum_cover(f: &Function, primes: &[Cube]) -> Cover {
+        let n = f.num_vars();
+        if primes.is_empty() {
+            return Cover::empty(n);
+        }
+        let mut selected: Vec<usize> = Vec::new();
+        let on: Vec<u64> = f.on_minterms().collect();
+        for &m in &on {
+            let mut covering = (0..primes.len()).filter(|&i| primes[i].contains_minterm(m));
+            if let (Some(i), None) = (covering.next(), covering.next()) {
+                if !selected.contains(&i) {
+                    selected.push(i);
+                }
+            }
+        }
+        let remaining: Vec<u64> = on
+            .iter()
+            .copied()
+            .filter(|&m| !selected.iter().any(|&i| primes[i].contains_minterm(m)))
+            .collect();
+        if remaining.is_empty() {
+            return build_cover(n, primes, &selected);
+        }
+        let candidates: Vec<usize> = (0..primes.len())
+            .filter(|&i| !selected.contains(&i))
+            .filter(|&i| remaining.iter().any(|&m| primes[i].contains_minterm(m)))
+            .collect();
+        let extra = if candidates.len() * remaining.len() <= PETRICK_EXACT_LIMIT {
+            petrick_exact(primes, &candidates, &remaining)
+        } else {
+            greedy_cover(primes, &candidates, &remaining)
+        };
+        selected.extend(extra);
+        build_cover(n, primes, &selected)
+    }
+
+    fn petrick_exact(primes: &[Cube], candidates: &[usize], remaining: &[u64]) -> Vec<usize> {
+        let mut products: Vec<BTreeSet<usize>> = vec![BTreeSet::new()];
+        for &m in remaining {
+            let covering: Vec<usize> = candidates
+                .iter()
+                .copied()
+                .filter(|&i| primes[i].contains_minterm(m))
+                .collect();
+            if covering.is_empty() {
+                continue;
+            }
+            let mut next: Vec<BTreeSet<usize>> = Vec::new();
+            for product in &products {
+                for &p in &covering {
+                    let mut grown = product.clone();
+                    grown.insert(p);
+                    next.push(grown);
+                }
+            }
+            absorb(&mut next);
+            if next.len() > 10_000 {
+                return greedy_cover(primes, candidates, remaining);
+            }
+            products = next;
+        }
+        products
+            .into_iter()
+            .min_by_key(|set| {
+                let lits: usize = set.iter().map(|&i| primes[i].literal_count()).sum();
+                (set.len(), lits)
+            })
+            .map(|set| set.into_iter().collect())
+            .unwrap_or_default()
+    }
+
+    fn greedy_cover(primes: &[Cube], candidates: &[usize], remaining: &[u64]) -> Vec<usize> {
+        let mut uncovered: Vec<u64> = remaining.to_vec();
+        let mut chosen = Vec::new();
+        while !uncovered.is_empty() {
+            let best = candidates
+                .iter()
+                .copied()
+                .filter(|&i| !chosen.contains(&i))
+                .max_by_key(|&i| {
+                    let gain = uncovered
+                        .iter()
+                        .filter(|&&m| primes[i].contains_minterm(m))
+                        .count();
+                    (gain, usize::MAX - primes[i].literal_count())
+                });
+            let Some(best) = best else { break };
+            let before = uncovered.len();
+            uncovered.retain(|&m| !primes[best].contains_minterm(m));
+            if uncovered.len() == before {
+                break;
+            }
+            chosen.push(best);
+        }
+        chosen
     }
 }
 
@@ -639,6 +741,121 @@ proptest! {
         let oracle = oracle_petrick::minimum_cover_sparse(&cf, &primes);
         prop_assert_eq!(ours.cubes(), oracle.cubes());
     }
+}
+
+/// A random covering table: twelve random primes (for literal costs) and
+/// rows of ascending prime ids. Up to 4⁸ products, so both the exact result
+/// and the 2,000-product bailout occur.
+fn arb_covering_table() -> impl Strategy<Value = (Vec<Cube>, Vec<Vec<usize>>)> {
+    (
+        proptest::collection::vec(arb_cube(NUM_VARS), 12),
+        proptest::collection::vec(proptest::collection::btree_set(0usize..12, 1..5), 1..9),
+    )
+        .prop_map(|(primes, rows)| {
+            let rows = rows.into_iter().map(|r| r.into_iter().collect()).collect();
+            (primes, rows)
+        })
+}
+
+/// A random dense incompletely specified function over `NUM_VARS` inputs.
+fn arb_dense_function() -> impl Strategy<Value = Function> {
+    (
+        proptest::collection::btree_set(0u64..(1u64 << NUM_VARS), 1..28),
+        proptest::collection::btree_set(0u64..(1u64 << NUM_VARS), 0..20),
+    )
+        .prop_map(|(on, dc)| {
+            let on: Vec<u64> = on.into_iter().collect();
+            let dc: Vec<u64> = dc.into_iter().filter(|m| !on.contains(m)).collect();
+            Function::from_on_dc(NUM_VARS, &on, &dc).expect("disjoint on and dc")
+        })
+}
+
+/// The sparse caller's view of the bitset kernel: the 2,000-product bailout
+/// falls back to the greedy table cover.
+fn bitset_table_cover(primes: &[Cube], rows: &[Vec<usize>]) -> Vec<usize> {
+    let refs: Vec<&Vec<usize>> = rows.iter().collect();
+    petrick::petrick_exact(primes, rows, 2_000)
+        .unwrap_or_else(|| oracle_petrick::greedy_table(&refs))
+}
+
+proptest! {
+    /// The bitset Petrick expansion returns the set-based expansion's
+    /// selection on random covering tables, bailout included.
+    #[test]
+    fn bitset_petrick_matches_set_expansion(table in arb_covering_table()) {
+        let (primes, rows) = table;
+        let refs: Vec<&Vec<usize>> = rows.iter().collect();
+        prop_assert_eq!(
+            bitset_table_cover(&primes, &rows),
+            oracle_petrick::petrick_exact_table(&primes, &refs)
+        );
+    }
+
+    /// The dense `minimum_cover` on the bitset kernel is identical to the
+    /// set-based original, over both prime generators.
+    #[test]
+    fn dense_minimum_cover_identical(f in arb_dense_function()) {
+        for primes in [quine::prime_implicants(&f), quine::expand_primes(&f)] {
+            let ours = petrick::minimum_cover(&f, &primes);
+            let oracle = oracle_petrick::minimum_cover(&f, &primes);
+            prop_assert_eq!(ours.cubes(), oracle.cubes());
+        }
+    }
+
+    /// The incrementally scored sharp greedy picks exactly what the
+    /// full-rescan original picks, on dc-heavy functions ...
+    #[test]
+    fn sharp_greedy_identical_dc_heavy(cf in arb_dc_heavy(NUM_VARS)) {
+        let primes = cf.expand_primes();
+        let ours = petrick::greedy_sharp_cover(&cf, &primes);
+        let oracle = oracle_petrick::greedy_sharp_cover(&cf, &primes);
+        prop_assert_eq!(ours.cubes(), oracle.cubes());
+    }
+
+    /// ... and on completely specified cube-shaped covers, with all
+    /// Quine–McCluskey primes so ties between overlapping primes abound.
+    #[test]
+    fn sharp_greedy_identical_cube_shaped(cover in arb_cover(NUM_VARS, 7)) {
+        let off = fantom_boolean::recursive::complement(&cover);
+        let cf = CoverFunction::from_on_off(cover, off).expect("complement is disjoint");
+        let primes = cf.expand_primes();
+        let ours = petrick::greedy_sharp_cover(&cf, &primes);
+        let oracle = oracle_petrick::greedy_sharp_cover(&cf, &primes);
+        prop_assert_eq!(ours.cubes(), oracle.cubes());
+        let dense = Function::from_on_set(
+            NUM_VARS,
+            &(0..1u64 << NUM_VARS).filter(|&m| cf.is_on(m)).collect::<Vec<_>>(),
+        )
+        .expect("minterms in range");
+        let all = quine::prime_implicants(&dense);
+        let ours = petrick::greedy_sharp_cover(&cf, &all);
+        let oracle = oracle_petrick::greedy_sharp_cover(&cf, &all);
+        prop_assert_eq!(ours.cubes(), oracle.cubes());
+    }
+}
+
+/// Two rows of 46 disjoint choices expand to 2,116 products: the sparse
+/// caller's 2,000-product bailout fires, and its greedy fallback matches the
+/// set-based expansion's own.
+#[test]
+fn product_bailout_fires_and_matches() {
+    let n = 7;
+    let primes: Vec<Cube> = (0..92u64)
+        .map(|m| Cube::from_minterm(n, m).unwrap())
+        .collect();
+    let rows: Vec<Vec<usize>> = vec![(0..46).collect(), (46..92).collect()];
+    assert_eq!(petrick::petrick_exact(&primes, &rows, 2_000), None);
+    let refs: Vec<&Vec<usize>> = rows.iter().collect();
+    assert_eq!(
+        bitset_table_cover(&primes, &rows),
+        oracle_petrick::petrick_exact_table(&primes, &refs)
+    );
+    // Under the bailout: the first product of fewest primes and literals
+    // (all minterms cost the same), one prime per row.
+    assert_eq!(
+        petrick::petrick_exact(&primes, &rows, 2_116),
+        Some(vec![0, 46])
+    );
 }
 
 // ---------------------------------------------------------------------------
