@@ -426,8 +426,8 @@ mod tests {
         );
         let bounded = AssignmentOptions::bounded();
         for (table, pin) in [
-            (benchmarks::chain40(), 12),
-            (benchmarks::ring44(), 12),
+            (benchmarks::chain40(), 7),
+            (benchmarks::ring44(), 9),
             (benchmarks::wide36(), 11),
         ] {
             let assignment = assign_with_options(&table, &bounded);

@@ -10,10 +10,11 @@
 //!   — plus one per adjacency-cluster seed, see
 //!   [`crate::assignment::adjacency_seeds`] — and absorbs compatible
 //!   dichotomies in the ordering's sequence. Compatibility is read from
-//!   incrementally maintained blocked-id bitsets instead of per-dichotomy
-//!   set probes, so a sweep enumerates only the ids still absorbable
-//!   (word-granular), and each candidate's `covers` set falls out of the
-//!   growth itself instead of a full separation rescan per candidate;
+//!   blocked-id bitsets derived from the candidate's hit bitsets instead of
+//!   per-dichotomy set probes, so a sweep enumerates only the ids still
+//!   absorbable (word-granular). Each candidate that survives the dedup gets
+//!   its `covers` set from the same hit bitsets, word-parallel, instead of a
+//!   full separation rescan; duplicates never compute one;
 //! * **selection** is an exact minimum-cover search on small candidate sets
 //!   (under a node budget) or a lazy-max greedy cover followed by
 //!   local-search refinement (drop redundant partitions, replace partition
@@ -49,9 +50,10 @@ pub struct Partition {
 impl Partition {
     /// Build a partition from a merged dichotomy, recording which of
     /// `dichotomies` it separates by a full rescan. The growth engine
-    /// maintains `covers` incrementally and uses [`Partition::from_parts`];
-    /// this constructor remains for the dedicated-partition fallback (and as
-    /// the debug-mode oracle for the incremental sets).
+    /// computes `covers` from its hit bitsets and uses
+    /// [`Partition::from_parts`]; this constructor remains for the
+    /// dedicated-partition fallback (and as the debug-mode oracle for the
+    /// hit-bitset sets).
     fn new(dichotomy: Dichotomy, dichotomies: &[Dichotomy]) -> Self {
         let ones = dichotomy.right();
         let covers = MintermSet::from_minterms(
@@ -305,16 +307,15 @@ fn grow_and_emit(
     grower.grow(seed_id.unwrap_or(0), order);
     let Grower { left, right, .. } = grower;
     // The grown orientation is the seed's orientation: `right` stays the
-    // 1-coded side, so the incrementally maintained coverage set matches it.
+    // 1-coded side the hit bitsets were kept for.
     let dichotomy = Dichotomy::from_oriented_sets(left, right);
     if seen.insert(dichotomy.clone()) {
+        let covers = growth.covers(index, dichotomy.left(), dichotomy.right());
         debug_assert!(
-            growth
-                .covers()
-                .same_contents(&Partition::new(dichotomy.clone(), dichotomies).covers),
-            "incremental covers diverge from the separation rescan"
+            covers.same_contents(&Partition::new(dichotomy.clone(), dichotomies).covers),
+            "hit-bitset covers diverge from the separation rescan"
         );
-        candidates.push(Partition::from_parts(dichotomy, growth.covers().clone()));
+        candidates.push(Partition::from_parts(dichotomy, covers));
     }
 }
 

@@ -235,34 +235,56 @@ pub fn required_dichotomies(table: &FlowTable) -> Vec<Dichotomy> {
     }
 
     // Drop dichotomies strictly subsumed by a larger one: separating the
-    // larger dichotomy separates them for free. A subsumer must contain
-    // every support state of the subsumee, so the candidates for each
-    // dichotomy are exactly the entries of its shortest support-state
-    // posting list — an inverted index that replaces the all-pairs
-    // subsumption scan (quadratic in the raw dichotomy count, the dominant
-    // cost of generation on 40-state tables) with a near-linear pass.
-    let mut by_state: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (i, d) in all.iter().enumerate() {
-        for s in d.left().iter().chain(d.right().iter()) {
-            by_state[s as usize].push(i as u32);
+    // larger dichotomy separates them for free. `all` is deduplicated, so a
+    // strict subsumer has more states, and every generated group holds one
+    // or two states, so only two shapes can be strictly subsumed:
+    //
+    // * `({a}; {b})`, iff a dichotomy of three or more states puts `a` and
+    //   `b` on opposite sides — an n×n pair-bit matrix answers it;
+    // * `({a,b}; {c})`, iff some `({a,b}; {c,d})` exists — a map from each
+    //   2-group to the states seen opposite it in 2-vs-2 dichotomies.
+    //
+    // 2-vs-2 dichotomies have no larger generated dichotomy to sit in.
+    let mut opposite = vec![StateSet::new(n as u64); n];
+    let pair = |g: &StateSet| {
+        let mut states = g.iter();
+        (states.next(), states.next())
+    };
+    let mut across: fantom_boolean::collections::HashMap<(u64, u64), StateSet> = Default::default();
+    for d in &all {
+        let (l, r) = (d.left(), d.right());
+        debug_assert!(
+            l.len() <= 2 && r.len() <= 2,
+            "groups hold one or two states"
+        );
+        if l.len() + r.len() < 3 {
+            continue;
+        }
+        for a in l.iter() {
+            for b in r.iter() {
+                opposite[a as usize].insert(b);
+                opposite[b as usize].insert(a);
+            }
+        }
+        if l.len() == 2 && r.len() == 2 {
+            for (g, o) in [(l, r), (r, l)] {
+                if let (Some(a), Some(b)) = pair(g) {
+                    across
+                        .entry((a, b))
+                        .or_insert_with(|| StateSet::new(n as u64))
+                        .union_with(o);
+                }
+            }
         }
     }
-    all.iter()
-        .enumerate()
-        .filter(|(i, d)| {
-            let shortest = d
-                .left()
-                .iter()
-                .chain(d.right().iter())
-                .map(|s| &by_state[s as usize])
-                .min_by_key(|list| list.len())
-                .expect("dichotomy groups are non-empty");
-            !shortest.iter().any(|&j| {
-                let other = &all[j as usize];
-                j as usize != *i && d.subsumed_by(other) && !other.subsumed_by(d)
-            })
+    all.into_iter()
+        .filter(|d| match (pair(d.left()), pair(d.right())) {
+            ((Some(a), None), (Some(b), None)) => !opposite[a as usize].contains(b),
+            ((Some(a), Some(b)), (Some(c), None)) | ((Some(c), None), (Some(a), Some(b))) => {
+                !across.get(&(a, b)).is_some_and(|o| o.contains(c))
+            }
+            _ => true,
         })
-        .map(|(_, d)| d.clone())
         .collect()
 }
 

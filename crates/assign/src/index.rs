@@ -9,22 +9,24 @@
 //! `fantom_boolean::index`, with states playing the role of variables and
 //! left/right the role of phases).
 //!
-//! On top of the index, a [`GrowthScratch`] maintains the per-candidate state
-//! *incrementally* while states join the growing partition:
+//! On top of the index, a [`GrowthScratch`] keeps four **hit bitsets** per
+//! candidate: the ids whose left (right) group meets the candidate's 0-side
+//! (1-side). A state joining a side ORs its two posting bitsets into the
+//! side's pair, two lane-parallel ORs and no per-id loop. Everything else
+//! is derived from the hit bitsets word by word:
 //!
 //! * **blocked sets** — a dichotomy is absorbable in the direct orientation
 //!   iff its left group avoids the candidate's right side and vice versa, so
-//!   when state `s` joins a side the ids newly blocked are exactly the
-//!   posting bitsets of `s`: two lane-parallel ORs replace the per-dichotomy
-//!   disjointness probes, and the growth pass enumerates only ids still
-//!   outside `blocked_direct ∩ blocked_flip` instead of re-testing the full
-//!   list;
-//! * **coverage counts** — a dichotomy is separated by the candidate's
-//!   1-coded set `R` iff one group lies inside `R` and the other outside it,
-//!   so per-id counters of `|left ∩ R|` / `|right ∩ R|` (bumped from the
-//!   posting bitsets as states join `R`) maintain the partition's `covers`
-//!   set during absorption — the full `O(|dichotomies|)` separation rescan
-//!   the old `Partition` constructor paid per candidate is gone.
+//!   the direct-blocked ids are `rl | lr` and the flip-blocked ids
+//!   `ll | rr`; the growth pass enumerates only ids outside their
+//!   intersection instead of re-testing the full list;
+//! * **coverage** — a dichotomy is separated by the candidate's 1-coded set
+//!   `R` iff one group lies inside `R` and the other outside it. States on
+//!   neither side are coded 0, so with `Z0l`/`Z0r` the ids whose left/right
+//!   group meets a 0-coded state (`ll`/`rl` plus the postings of the free
+//!   states), the covered ids are `(¬Z0l ∧ ¬rr) ∨ (¬lr ∧ ¬Z0r)`. This is
+//!   computed once per *distinct* candidate, at emit time — duplicate
+//!   candidates, most of the grown ones on large machines, never pay for it.
 //!
 //! Both structures live in [`AssignScratch`](crate::AssignScratch) so batch
 //! callers reuse the allocations across synthesis calls (the `Workspace`
@@ -32,12 +34,12 @@
 
 use fantom_boolean::{lane, MintermSet};
 
-use crate::dichotomy::Dichotomy;
+use crate::dichotomy::{Dichotomy, StateSet};
 
 /// Inverted state → dichotomy-id index: for every state, the packed set of
-/// dichotomy ids whose left (right) group contains the state, plus the group
-/// sizes the coverage counters compare against. Built once per assignment
-/// call and shared by every seed ordering (see the [module docs](self)).
+/// dichotomy ids whose left (right) group contains the state. Built once per
+/// assignment call and shared by every seed ordering (see the
+/// [module docs](self)).
 #[derive(Debug, Default)]
 pub struct DichotomyIndex {
     /// Number of dichotomies indexed.
@@ -46,10 +48,8 @@ pub struct DichotomyIndex {
     left_ids: Vec<MintermSet>,
     /// Per state: ids of dichotomies whose right group contains the state.
     right_ids: Vec<MintermSet>,
-    /// Per dichotomy: size of its left group.
-    left_size: Vec<u32>,
-    /// Per dichotomy: size of its right group.
-    right_size: Vec<u32>,
+    /// States some dichotomy mentions (the only non-empty posting sets).
+    support: StateSet,
 }
 
 impl DichotomyIndex {
@@ -80,17 +80,16 @@ impl DichotomyIndex {
         };
         reset(&mut self.left_ids);
         reset(&mut self.right_ids);
-        self.left_size.clear();
-        self.right_size.clear();
+        self.support = StateSet::new(num_states as u64);
         for (i, d) in dichotomies.iter().enumerate() {
             for s in d.left().iter() {
                 self.left_ids[s as usize].insert(i as u64);
+                self.support.insert(s);
             }
             for s in d.right().iter() {
                 self.right_ids[s as usize].insert(i as u64);
+                self.support.insert(s);
             }
-            self.left_size.push(d.left().len() as u32);
-            self.right_size.push(d.right().len() as u32);
         }
     }
 
@@ -117,104 +116,53 @@ fn id_words(num: usize) -> usize {
 
 /// Per-candidate growth state, maintained incrementally as states join the
 /// candidate's sides (see the [module docs](self)). Reused across seeds: a
-/// [`reset`](GrowthScratch::reset) is two or three word-array memsets, not an
+/// [`reset`](GrowthScratch::reset) is five word-array memsets, not an
 /// allocation.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct GrowthScratch {
-    /// Ids that conflict with the candidate in the direct orientation
-    /// (left joins left): some left state sits in the candidate's right side
-    /// or some right state in its left side.
-    blocked_direct: Vec<u64>,
-    /// Ids that conflict in the flipped orientation (left joins right).
-    blocked_flip: Vec<u64>,
+    /// Ids whose left group meets the candidate's left (0-coded) side.
+    ll: Vec<u64>,
+    /// Ids whose right group meets the candidate's left side.
+    rl: Vec<u64>,
+    /// Ids whose left group meets the candidate's right (1-coded) side.
+    lr: Vec<u64>,
+    /// Ids whose right group meets the candidate's right side.
+    rr: Vec<u64>,
     /// Ids already absorbed into the candidate (skipped by the growth pass —
     /// re-absorbing is a no-op union).
     absorbed: Vec<u64>,
-    /// `|d.left ∩ R|` per id, where `R` is the candidate's right side.
-    left_count: Vec<u32>,
-    /// `|d.right ∩ R|` per id.
-    right_count: Vec<u32>,
-    /// Ids currently separated by the candidate's right side — exactly the
-    /// set the old `Partition::new` rescan recomputed per candidate.
-    covers: MintermSet,
-}
-
-impl Default for GrowthScratch {
-    fn default() -> Self {
-        GrowthScratch {
-            blocked_direct: Vec::new(),
-            blocked_flip: Vec::new(),
-            absorbed: Vec::new(),
-            left_count: Vec::new(),
-            right_count: Vec::new(),
-            covers: MintermSet::new(0),
-        }
-    }
+    /// Emit-time buffer: ids whose right group meets a 0-coded state.
+    zero_right: Vec<u64>,
 }
 
 impl GrowthScratch {
     /// Clear the scratch for a new candidate over `num` dichotomy ids.
     pub fn reset(&mut self, num: usize) {
         let words = id_words(num);
-        self.blocked_direct.clear();
-        self.blocked_direct.resize(words, 0);
-        self.blocked_flip.clear();
-        self.blocked_flip.resize(words, 0);
-        self.absorbed.clear();
-        self.absorbed.resize(words, 0);
-        self.left_count.clear();
-        self.left_count.resize(num, 0);
-        self.right_count.clear();
-        self.right_count.resize(num, 0);
-        if self.covers.capacity() >= num as u64 {
-            self.covers.clear();
-        } else {
-            self.covers = MintermSet::new(num as u64);
+        for hits in [
+            &mut self.ll,
+            &mut self.rl,
+            &mut self.lr,
+            &mut self.rr,
+            &mut self.absorbed,
+        ] {
+            hits.clear();
+            hits.resize(words, 0);
         }
     }
 
-    /// Record that `state` joined the candidate's **left** (0-coded) side:
-    /// dichotomies with `state` in their right group can no longer merge
-    /// directly, dichotomies with `state` in their left group can no longer
-    /// merge flipped. Coverage is unaffected — separation depends only on
-    /// the right side.
+    /// Record that `state` joined the candidate's **left** (0-coded) side.
     #[inline]
     pub fn add_left_state(&mut self, index: &DichotomyIndex, state: u64) {
-        lane::or_into(&mut self.blocked_direct, index.right_ids(state).words());
-        lane::or_into(&mut self.blocked_flip, index.left_ids(state).words());
+        lane::or_into(&mut self.ll, index.left_ids(state).words());
+        lane::or_into(&mut self.rl, index.right_ids(state).words());
     }
 
-    /// Record that `state` joined the candidate's **right** (1-coded) side:
-    /// blocks the mirrored orientations and bumps the coverage counters of
-    /// every dichotomy mentioning `state`, updating its covered bit.
+    /// Record that `state` joined the candidate's **right** (1-coded) side.
     #[inline]
     pub fn add_right_state(&mut self, index: &DichotomyIndex, state: u64) {
-        lane::or_into(&mut self.blocked_direct, index.left_ids(state).words());
-        lane::or_into(&mut self.blocked_flip, index.right_ids(state).words());
-        for id in index.left_ids(state).iter() {
-            self.left_count[id as usize] += 1;
-            self.update_covered(index, id);
-        }
-        for id in index.right_ids(state).iter() {
-            self.right_count[id as usize] += 1;
-            self.update_covered(index, id);
-        }
-    }
-
-    /// Recompute the covered bit of `id` from its counters: covered iff one
-    /// group lies entirely inside the right side and the other entirely
-    /// outside it.
-    #[inline]
-    fn update_covered(&mut self, index: &DichotomyIndex, id: u64) {
-        let lc = self.left_count[id as usize];
-        let rc = self.right_count[id as usize];
-        let covered = (lc == index.left_size[id as usize] && rc == 0)
-            || (lc == 0 && rc == index.right_size[id as usize]);
-        if covered {
-            self.covers.insert(id);
-        } else {
-            self.covers.remove(id);
-        }
+        lane::or_into(&mut self.lr, index.left_ids(state).words());
+        lane::or_into(&mut self.rr, index.right_ids(state).words());
     }
 
     /// Mark `id` as absorbed (skipped by later growth sweeps).
@@ -223,16 +171,31 @@ impl GrowthScratch {
         self.absorbed[id / 64] |= 1 << (id % 64);
     }
 
+    /// Word `w` of the ids blocked in the direct orientation (left joins
+    /// left): some left state sits in the candidate's right side or some
+    /// right state in its left side.
+    #[inline]
+    fn direct_word(&self, w: usize) -> u64 {
+        self.rl[w] | self.lr[w]
+    }
+
+    /// Word `w` of the ids blocked in the flipped orientation (left joins
+    /// right).
+    #[inline]
+    fn flip_word(&self, w: usize) -> u64 {
+        self.ll[w] | self.rr[w]
+    }
+
     /// Whether `id` can be absorbed in the direct orientation.
     #[inline]
     pub fn direct_ok(&self, id: usize) -> bool {
-        self.blocked_direct[id / 64] & (1 << (id % 64)) == 0
+        self.direct_word(id / 64) & (1 << (id % 64)) == 0
     }
 
     /// Whether `id` can be absorbed in the flipped orientation.
     #[inline]
     pub fn flip_ok(&self, id: usize) -> bool {
-        self.blocked_flip[id / 64] & (1 << (id % 64)) == 0
+        self.flip_word(id / 64) & (1 << (id % 64)) == 0
     }
 
     /// Word `w` of the *enumerable* id set: not yet absorbed and absorbable
@@ -242,7 +205,7 @@ impl GrowthScratch {
     /// re-tested each dichotomy at its turn.
     #[inline]
     pub fn allowed_word(&self, w: usize) -> u64 {
-        !(self.blocked_direct[w] & self.blocked_flip[w]) & !self.absorbed[w]
+        !(self.direct_word(w) & self.flip_word(w)) & !self.absorbed[w]
     }
 
     /// Whether `id` is enumerable right now (the per-id variant of
@@ -252,9 +215,42 @@ impl GrowthScratch {
         self.allowed_word(id / 64) & (1 << (id % 64)) != 0
     }
 
-    /// The coverage set of the finished candidate.
-    pub fn covers(&self) -> &MintermSet {
-        &self.covers
+    /// The coverage set of the candidate with sides `left` (0-coded) and
+    /// `right` (1-coded): the ids it separates, given that states on
+    /// neither side are coded 0. Word-parallel over the hit bitsets, with
+    /// one posting OR per such free state.
+    pub fn covers(
+        &mut self,
+        index: &DichotomyIndex,
+        left: &StateSet,
+        right: &StateSet,
+    ) -> MintermSet {
+        // Ids whose left / right group meets a 0-coded state.
+        let mut zero_left = self.ll.clone();
+        self.zero_right.clear();
+        self.zero_right.extend_from_slice(&self.rl);
+        let side_word = |set: &StateSet, w: usize| set.words().get(w).copied().unwrap_or(0);
+        for (w, &support) in index.support.words().iter().enumerate() {
+            let mut free = support & !side_word(left, w) & !side_word(right, w);
+            while free != 0 {
+                let state = (w * 64 + free.trailing_zeros() as usize) as u64;
+                lane::or_into(&mut zero_left, index.left_ids(state).words());
+                lane::or_into(&mut self.zero_right, index.right_ids(state).words());
+                free &= free - 1;
+            }
+        }
+        // Separated iff one group lies wholly in the 1 side (meets no
+        // 0-coded state) and the other wholly outside it.
+        for (w, word) in zero_left.iter_mut().enumerate() {
+            *word = (!*word & !self.rr[w]) | (!self.lr[w] & !self.zero_right[w]);
+        }
+        if let Some(last) = zero_left.last_mut() {
+            let tail = index.num % 64;
+            if tail != 0 {
+                *last &= (1 << tail) - 1;
+            }
+        }
+        MintermSet::from_words(zero_left)
     }
 }
 
@@ -288,8 +284,7 @@ mod tests {
             index.rebuild(table.num_states(), &dichotomies);
             let fresh = DichotomyIndex::build(table.num_states(), &dichotomies);
             assert_eq!(index.num, fresh.num);
-            assert_eq!(index.left_size, fresh.left_size);
-            assert_eq!(index.right_size, fresh.right_size);
+            assert!(index.support.same_contents(&fresh.support));
             for s in 0..table.num_states() as u64 {
                 assert!(index.left_ids(s).same_contents(fresh.left_ids(s)));
                 assert!(index.right_ids(s).same_contents(fresh.right_ids(s)));
@@ -299,53 +294,76 @@ mod tests {
 
     #[test]
     fn blocked_and_cover_state_matches_definitions() {
-        // Grow a candidate by hand and cross-check the incremental state
-        // against the word-parallel definitions on every step.
-        let table = benchmarks::train11();
-        let dichotomies = required_dichotomies(&table);
-        let n = dichotomies.len();
-        let index = DichotomyIndex::build(table.num_states(), &dichotomies);
-        let mut scratch = GrowthScratch::default();
-        scratch.reset(n);
+        // Grow a candidate by hand and, at every absorption step, cross-check
+        // the hit-bitset state against `try_absorb` and the emit-time covers
+        // against `separated_by`. wide36 spans several id words.
+        for table in [benchmarks::train11(), benchmarks::wide36()] {
+            let dichotomies = required_dichotomies(&table);
+            let n = dichotomies.len();
+            let index = DichotomyIndex::build(table.num_states(), &dichotomies);
+            let mut scratch = GrowthScratch::default();
+            scratch.reset(n);
 
-        let mut merged = dichotomies[0].clone();
-        for s in merged.left().iter() {
-            scratch.add_left_state(&index, s);
-        }
-        for s in merged.right().iter() {
-            scratch.add_right_state(&index, s);
-        }
-        scratch.mark_absorbed(0);
-        for (j, d) in dichotomies.iter().enumerate().take(n).skip(1) {
-            let (direct, flip) = (scratch.direct_ok(j), scratch.flip_ok(j));
-            assert_eq!(direct || flip, merged.clone().try_absorb(d));
-            if !scratch.allowed(j) {
-                continue;
+            let mut merged = dichotomies[0].clone();
+            for s in merged.left().iter() {
+                scratch.add_left_state(&index, s);
             }
-            let (dl, dr) = if direct {
-                (d.left().clone(), d.right().clone())
-            } else {
-                (d.right().clone(), d.left().clone())
+            for s in merged.right().iter() {
+                scratch.add_right_state(&index, s);
+            }
+            scratch.mark_absorbed(0);
+            let check_covers = |scratch: &mut GrowthScratch, merged: &Dichotomy| {
+                let covers = scratch.covers(&index, merged.left(), merged.right());
+                assert_eq!(covers.capacity(), MintermSet::new(n as u64).capacity());
+                for (i, d) in dichotomies.iter().enumerate() {
+                    assert_eq!(
+                        covers.contains(i as u64),
+                        d.separated_by(merged.right()),
+                        "{}: covered bit of dichotomy {i} diverges from separated_by",
+                        table.name()
+                    );
+                }
             };
-            for s in dl.iter() {
-                if !merged.left().contains(s) {
-                    scratch.add_left_state(&index, s);
+            check_covers(&mut scratch, &merged);
+            for (j, d) in dichotomies.iter().enumerate().skip(1) {
+                let (direct, flip) = (scratch.direct_ok(j), scratch.flip_ok(j));
+                assert_eq!(
+                    direct,
+                    merged.left().is_disjoint(d.right()) && merged.right().is_disjoint(d.left())
+                );
+                assert_eq!(
+                    flip,
+                    merged.left().is_disjoint(d.left()) && merged.right().is_disjoint(d.right())
+                );
+                let mut trial = merged.clone();
+                let absorbs = trial.try_absorb(d);
+                assert_eq!(direct || flip, absorbs, "{}: id {j}", table.name());
+                assert_eq!(scratch.allowed(j), absorbs, "{}: id {j}", table.name());
+                if !absorbs {
+                    continue;
                 }
-            }
-            for s in dr.iter() {
-                if !merged.right().contains(s) {
-                    scratch.add_right_state(&index, s);
+                // `try_absorb` prefers the direct orientation, as growth does.
+                let (dl, dr) = if direct {
+                    (d.left(), d.right())
+                } else {
+                    (d.right(), d.left())
+                };
+                for s in dl.iter() {
+                    if !merged.left().contains(s) {
+                        scratch.add_left_state(&index, s);
+                    }
                 }
+                for s in dr.iter() {
+                    if !merged.right().contains(s) {
+                        scratch.add_right_state(&index, s);
+                    }
+                }
+                scratch.mark_absorbed(j);
+                assert!(!scratch.allowed(j));
+                merged = trial;
+                assert!(dl.is_subset(merged.left()) && dr.is_subset(merged.right()));
+                check_covers(&mut scratch, &merged);
             }
-            scratch.mark_absorbed(j);
-            assert!(merged.try_absorb(d));
-        }
-        for (i, d) in dichotomies.iter().enumerate() {
-            assert_eq!(
-                scratch.covers().contains(i as u64),
-                d.separated_by(merged.right()),
-                "covered bit of dichotomy {i} diverges from separated_by"
-            );
         }
     }
 }

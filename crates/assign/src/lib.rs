@@ -15,13 +15,15 @@
 //!    pairs, plus the pairwise dichotomies that force distinct codes. Each
 //!    dichotomy is a pair of packed state bitsets, so merging, separation and
 //!    subsumption are word-parallel bit tests; duplicates and subsumed
-//!    dichotomies are removed up front ([`dichotomy`]);
+//!    dichotomies are removed up front, both in linear time ([`dichotomy`]);
 //! 2. grow candidate partitions by greedily absorbing compatible dichotomies
 //!    over several distinct seed orderings — plus adjacency-cluster seeds
 //!    from Tracey's column grouping — driven by an inverted state→dichotomy
-//!    **index** ([`index`]) that enumerates only the ids still compatible
-//!    with the growing candidate and maintains each candidate's coverage set
-//!    incrementally; then select a small covering set — exact minimum cover
+//!    **index** ([`index`]): per-candidate hit bitsets, two posting ORs per
+//!    state that joins the candidate, enumerate only the ids still
+//!    compatible with it, and each distinct candidate's coverage set is
+//!    computed from them word-parallel, once; then select a small covering
+//!    set — exact minimum cover
 //!    when the candidate set is small, lazy-max greedy cover plus
 //!    local-search refinement (drop / pair-consolidate) otherwise
 //!    ([`covering`]);

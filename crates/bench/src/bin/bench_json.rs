@@ -53,6 +53,7 @@
 //! 12. the Step-3 indexed assignment engine: the shared-dichotomy-index
 //!     candidate grower and the lazy-max greedy pick vs the retained scalar
 //!     references (`fantom_bench::reference`) on the unreduced large suite
+//!     and the first draw of the `scale` tier's 80-state shapes
 //!     (`assign.index.*.{grow_ms,grow_ref_ms,greedy_ns,greedy_ref_ns}`) at
 //!     the like-for-like configuration where both engines provably enumerate
 //!     identical candidate pools — equality is asserted on every run — plus
@@ -938,13 +939,15 @@ fn assignment_metrics(out: &mut BTreeMap<String, f64>) {
 
 /// Item 12: the indexed Step-3 engine vs the retained scalar references.
 ///
-/// `grow_candidates` (shared dichotomy index, incremental covers, one
-/// monotone absorption pass) is compared against
-/// [`fantom_bench::reference::scalar_candidate_growth`] (two wrap-around
-/// `try_absorb` passes plus a full separation rescan per candidate), and the
-/// lazy-max [`fantom_assign::greedy_cover_sets`] against the rescan-per-pick
-/// [`fantom_bench::reference::scalar_greedy_cover`], on the unreduced large
-/// suite. Both comparisons run at the like-for-like configuration (two seed
+/// `grow_candidates` (shared dichotomy index, hit-bitset blocked sets, one
+/// monotone absorption pass, covers computed once per distinct candidate)
+/// is compared against [`fantom_bench::reference::scalar_candidate_growth`]
+/// (two wrap-around `try_absorb` passes plus a full separation rescan per
+/// candidate), and the lazy-max [`fantom_assign::greedy_cover_sets`] against
+/// the rescan-per-pick [`fantom_bench::reference::scalar_greedy_cover`], on
+/// the unreduced large suite and the first draw of the `scale` tier's
+/// 80-state shapes (`s80.d25`, `s80.d75`: over 2,000 dichotomy ids each).
+/// Both comparisons run at the like-for-like configuration (two seed
 /// orderings, adjacency seeding off) where the engines provably enumerate
 /// identical pools and picks — asserted here so the reference can never
 /// silently drift from the production engine.
@@ -953,9 +956,17 @@ fn assign_index_metrics(out: &mut BTreeMap<String, f64>) {
         greedy_cover_sets, grow_candidates, required_dichotomies, AssignScratch, AssignmentOptions,
     };
     use fantom_bench::reference::{scalar_candidate_growth, scalar_greedy_cover};
+    use fantom_bench::scale_tier_machine;
 
+    let machines = benchmarks::large_suite()
+        .into_iter()
+        .map(|table| (table.name().to_string(), table))
+        .chain([0.25f64, 0.75].map(|dc| {
+            let name = format!("s80.d{}", (dc * 100.0) as u32);
+            (name, scale_tier_machine(0, 80, dc))
+        }));
     let mut scratch = AssignScratch::default();
-    for table in benchmarks::large_suite() {
+    for (name, table) in machines {
         let dichotomies = required_dichotomies(&table);
         let options = AssignmentOptions {
             seed_orderings: 2,
@@ -979,10 +990,10 @@ fn assign_index_metrics(out: &mut BTreeMap<String, f64>) {
         let grow_ref_ms = start.elapsed().as_secs_f64() * 1e3 / f64::from(runs);
 
         let pool = grow_candidates(&dichotomies, &[], &options, &mut scratch);
-        assert_eq!(pool.len(), reference.len(), "{}: pool size", table.name());
+        assert_eq!(pool.len(), reference.len(), "{name}: pool size");
         for (p, (d, covers)) in pool.iter().zip(&reference) {
-            assert_eq!(p.dichotomy(), d, "{}: candidate pool", table.name());
-            assert!(p.covers().same_contents(covers), "{}: covers", table.name());
+            assert_eq!(p.dichotomy(), d, "{name}: candidate pool");
+            assert!(p.covers().same_contents(covers), "{name}: covers");
         }
 
         let covers: Vec<_> = reference.into_iter().map(|(_, c)| c).collect();
@@ -990,13 +1001,11 @@ fn assign_index_metrics(out: &mut BTreeMap<String, f64>) {
         assert_eq!(
             greedy_cover_sets(&covers, num),
             scalar_greedy_cover(&covers, num),
-            "{}: greedy picks",
-            table.name()
+            "{name}: greedy picks"
         );
         let greedy_ns = time_ns(|| greedy_cover_sets(&covers, num).len());
         let greedy_ref_ns = time_ns(|| scalar_greedy_cover(&covers, num).len());
 
-        let name = table.name();
         println!(
             "  index {name:<10} grow {grow_ms:>8.3} ms (scalar {grow_ref_ms:>8.3} ms, {pool_len} candidates)   greedy {greedy_ns:>9.0} ns (scalar {greedy_ref_ns:>9.0} ns)"
         );

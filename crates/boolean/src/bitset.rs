@@ -11,8 +11,9 @@
 
 use crate::lane;
 
-/// A set of minterm indices over a fixed-size Boolean space.
-#[derive(Clone, PartialEq, Eq)]
+/// A set of minterm indices over a fixed-size Boolean space. The default is
+/// the empty set over an empty space.
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct MintermSet {
     words: Vec<u64>,
     len: usize,
@@ -34,6 +35,14 @@ impl MintermSet {
             set.insert(m);
         }
         set
+    }
+
+    /// Build a set directly from its packed words (64 minterms per word, low
+    /// bit first — the layout of [`MintermSet::words`]); the capacity is
+    /// `words.len() * 64`.
+    pub fn from_words(words: Vec<u64>) -> Self {
+        let len = lane::popcount(&words);
+        MintermSet { words, len }
     }
 
     /// Number of minterms the space can hold.
@@ -336,6 +345,15 @@ mod tests {
         let s = MintermSet::from_minterms(128, ms.iter().copied());
         let got: Vec<u64> = s.iter().collect();
         assert_eq!(got, ms);
+    }
+
+    #[test]
+    fn from_words_round_trips() {
+        let s = MintermSet::from_minterms(130, [0, 63, 64, 129]);
+        let rebuilt = MintermSet::from_words(s.words().to_vec());
+        assert_eq!(rebuilt, s);
+        assert_eq!(rebuilt.len(), 4);
+        assert_eq!(rebuilt.capacity(), 192);
     }
 
     #[test]

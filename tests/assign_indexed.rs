@@ -1,23 +1,25 @@
 //! Differential tests for the indexed Step-3 covering engine.
 //!
-//! PR 10 rebuilt candidate generation on a shared inverted dichotomy index
-//! with incrementally maintained coverage sets, replaced the rescan-per-pick
-//! greedy loop with a lazy-max heap, and added adjacency seeding. The
-//! pre-index implementation is retained verbatim in
-//! [`fantom_bench::reference`] as the oracle; these tests pin the new engine
-//! against it at the like-for-like configuration (two seed orderings, no
-//! adjacency seeds — the only configuration where the old rotation orderings
-//! contribute anything beyond Forward/Reverse) over the hand-written
-//! benchmark suite, the seeded generator grid, and proptest-driven random
-//! generator shapes, then check the full adjacency-seeded engine for
-//! coverage validity and the width pins, and finally prove the dedicated-
-//! partition fallback fires under candidate-budget starvation.
+//! Candidate generation runs on a shared inverted dichotomy index with
+//! per-candidate hit bitsets (coverage computed once per distinct candidate),
+//! greedy selection on a lazy-max heap, and adjacency seeding. The pre-index
+//! implementation is retained verbatim in [`fantom_bench::reference`] as the
+//! oracle; these tests pin the new engine against it at the like-for-like
+//! configuration (two seed orderings, no adjacency seeds — the only
+//! configuration where the old rotation orderings contribute anything beyond
+//! Forward/Reverse) over the hand-written benchmark suite, the seeded
+//! generator grid, the pinned `scale`-tier draws (40 and 80 states, over
+//! 2,000 dichotomy ids at 80) and proptest-driven random generator shapes,
+//! then check the full adjacency-seeded engine for coverage validity and the
+//! width pins, and finally prove the dedicated-partition fallback fires under
+//! candidate-budget starvation.
 
 use fantom_assign::{
     assign_with_options, grow_candidates, required_dichotomies, select_partitions_in,
     AssignScratch, AssignmentOptions, Dichotomy,
 };
 use fantom_bench::reference::{scalar_candidate_growth, scalar_greedy_cover};
+use fantom_bench::scale_tier_machine;
 use fantom_flow::generate::{generate, GeneratorOptions};
 use fantom_flow::{benchmarks, FlowTable};
 use proptest::prelude::*;
@@ -38,10 +40,19 @@ fn like_for_like() -> AssignmentOptions {
 /// candidate pool — same dichotomies in the same order with the same
 /// coverage sets.
 fn assert_growth_matches(table: &FlowTable, scratch: &mut AssignScratch) {
+    assert_growth_matches_with(table, &like_for_like(), scratch);
+}
+
+/// [`assert_growth_matches`] under `options` (a like-for-like configuration
+/// with a different candidate cap). Returns the dichotomy count.
+fn assert_growth_matches_with(
+    table: &FlowTable,
+    options: &AssignmentOptions,
+    scratch: &mut AssignScratch,
+) -> usize {
     let dichotomies = required_dichotomies(table);
-    let options = like_for_like();
     let reference = scalar_candidate_growth(&dichotomies, 2, options.max_candidate_partitions);
-    let pool = grow_candidates(&dichotomies, &[], &options, scratch);
+    let pool = grow_candidates(&dichotomies, &[], options, scratch);
     assert_eq!(pool.len(), reference.len(), "{}: pool size", table.name());
     for (i, (p, (d, covers))) in pool.iter().zip(&reference).enumerate() {
         assert_eq!(p.dichotomy(), d, "{}: candidate {i}", table.name());
@@ -51,6 +62,7 @@ fn assert_growth_matches(table: &FlowTable, scratch: &mut AssignScratch) {
             table.name()
         );
     }
+    dichotomies.len()
 }
 
 #[test]
@@ -77,6 +89,46 @@ fn indexed_growth_matches_scalar_reference_on_generator_grid() {
             assert_growth_matches(&table, &mut scratch);
         }
     }
+}
+
+/// Growth equality on the pinned `scale`-tier draws of one shape, the
+/// machines the `scale` benchmark synthesizes. The candidate cap keeps debug
+/// runs fast; the pools still come from the full id space, so the multi-word
+/// blocked and hit masks (and the partial last word) are exercised.
+fn assert_tier_growth_matches(states: usize, dc_density: f64) -> Vec<usize> {
+    let options = AssignmentOptions {
+        max_candidate_partitions: 128,
+        ..like_for_like()
+    };
+    let mut scratch = AssignScratch::default();
+    (0..6)
+        .map(|draw| {
+            let table = scale_tier_machine(draw, states, dc_density);
+            assert_growth_matches_with(&table, &options, &mut scratch)
+        })
+        .collect()
+}
+
+#[test]
+fn indexed_growth_matches_scalar_reference_on_tier_s40_d25() {
+    assert_tier_growth_matches(40, 0.25);
+}
+
+#[test]
+fn indexed_growth_matches_scalar_reference_on_tier_s40_d75() {
+    assert_tier_growth_matches(40, 0.75);
+}
+
+#[test]
+fn indexed_growth_matches_scalar_reference_on_tier_s80_d25() {
+    let ids = assert_tier_growth_matches(80, 0.25);
+    assert!(ids.iter().all(|&n| n > 2000 && n % 64 != 0), "{ids:?}");
+}
+
+#[test]
+fn indexed_growth_matches_scalar_reference_on_tier_s80_d75() {
+    let ids = assert_tier_growth_matches(80, 0.75);
+    assert!(ids.iter().all(|&n| n > 2000 && n % 64 != 0), "{ids:?}");
 }
 
 #[test]
@@ -124,7 +176,7 @@ fn adjacency_seeded_assignment_is_valid_within_pins() {
         }
     }
     let bounded = AssignmentOptions::bounded();
-    let pins = [("chain40", 12), ("ring44", 12), ("wide36", 11)];
+    let pins = [("chain40", 7), ("ring44", 9), ("wide36", 11)];
     for table in benchmarks::large_suite() {
         let assignment = assign_with_options(&table, &bounded);
         assignment
