@@ -67,6 +67,12 @@
 //!     `exact_*` sums every exact-sized fragment table, `sharp_*` every
 //!     function past `FRAGMENT_LIMIT`; identical selections are asserted on
 //!     every run.
+//! 14. the Step-7 on-pair consensus join: one distance pass per function vs
+//!     the per-variable all-pairs walk retained in
+//!     `fantom_bench::reference::hazard`, over every `Yₙ` of the same two
+//!     pinned 80-state machines
+//!     (`consensus.s80.d{25,75}.{on_pairs_ms,on_pairs_ref_ms}`); identical
+//!     covers are asserted on every run.
 //!
 //! Usage:
 //!
@@ -1112,6 +1118,79 @@ fn petrick_metrics(out: &mut BTreeMap<String, f64>) {
     }
 }
 
+/// Item 14: the Step-7 on-pair consensus join vs the per-variable all-pairs
+/// walk retained in `fantom_bench::reference::hazard`, over every `Yₙ`
+/// the sparse pipeline augments for the first draw of the `scale` tier's
+/// 80-state shapes (`consensus.s80.d{25,75}.{on_pairs_ms,on_pairs_ref_ms}`).
+/// Every cover is asserted identical to the reference's on every run.
+fn consensus_join_metrics(out: &mut BTreeMap<String, f64>) {
+    use fantom_bench::reference::hazard as reference;
+    use fantom_bench::scale_tier_machine;
+    use fantom_boolean::hazard::{self, ConsensusScratch};
+
+    let options = SynthesisOptions {
+        parallel_factoring: false,
+        ..SynthesisOptions::for_large_machines()
+    };
+    for dc in [0.25f64, 0.75] {
+        let table = scale_tier_machine(0, 80, dc);
+        let result = synthesize_sparse(&table, &options).expect("tier machine synthesizes");
+        let functions: Vec<_> = result
+            .equations
+            .y
+            .iter()
+            .zip(&result.equations.y_covers)
+            .collect();
+        let mut scratch = ConsensusScratch::default();
+        for (f, base) in &functions {
+            assert_eq!(
+                hazard::add_consensus_terms_on_pairs_with(
+                    f.on_cover(),
+                    f.off_cover(),
+                    base,
+                    &mut scratch
+                ),
+                reference::add_consensus_terms_on_pairs(f.on_cover(), f.off_cover(), base),
+                "s80 d{dc}: on-pair consensus"
+            );
+        }
+        let runs = 3;
+        let start = Instant::now();
+        for _ in 0..runs {
+            for (f, base) in &functions {
+                std::hint::black_box(hazard::add_consensus_terms_on_pairs_with(
+                    f.on_cover(),
+                    f.off_cover(),
+                    base,
+                    &mut scratch,
+                ));
+            }
+        }
+        let ms = start.elapsed().as_secs_f64() * 1e3 / f64::from(runs);
+        let mut ref_scratch = reference::ConsensusScratch::default();
+        let start = Instant::now();
+        for _ in 0..runs {
+            for (f, base) in &functions {
+                std::hint::black_box(reference::add_consensus_terms_on_pairs_with(
+                    f.on_cover(),
+                    f.off_cover(),
+                    base,
+                    &mut ref_scratch,
+                ));
+            }
+        }
+        let ref_ms = start.elapsed().as_secs_f64() * 1e3 / f64::from(runs);
+
+        let key = format!("consensus.s80.d{}", (dc * 100.0) as u32);
+        println!(
+            "  {key:<16} join {ms:>8.3} ms (all-pairs walk {ref_ms:>8.3} ms, {} Y functions)",
+            functions.len()
+        );
+        out.insert(format!("{key}.on_pairs_ms"), ms);
+        out.insert(format!("{key}.on_pairs_ref_ms"), ref_ms);
+    }
+}
+
 fn synthesis_metrics(out: &mut BTreeMap<String, f64>) {
     // Paper suite through the dense pipeline (PR 1 continuity).
     let options = table1_options();
@@ -1313,6 +1392,8 @@ fn main() {
     assign_index_metrics(&mut metrics);
     println!("\nStep-6 covering kernels vs set-based references:");
     petrick_metrics(&mut metrics);
+    println!("\nStep-7 on-pair consensus join vs all-pairs reference:");
+    consensus_join_metrics(&mut metrics);
     println!("\nhazard factoring (Step 7):");
     factoring_metrics(&mut metrics);
     println!("\nend-to-end synthesis:");

@@ -900,3 +900,149 @@ pub mod petrick {
         build_cover(n, primes, &chosen)
     }
 }
+
+/// The on-pair consensus augmentation of `fantom_boolean::hazard` as it
+/// stood before the pair walk became a distance join, retained verbatim as
+/// the differential oracle and micro-benchmark reference: for every
+/// variable it frees the variable in every on-cube admitting each phase and
+/// intersects every (lower, upper) pair. The production engine must return
+/// the same [`Cover`], cube for cube, on every input.
+pub mod hazard {
+    use fantom_boolean::collections::HashSet;
+    use fantom_boolean::{Cover, CoverIndex, Cube, IndexedCover, Literal};
+
+    /// Reusable buffers of [`add_consensus_terms_on_pairs_with`].
+    #[derive(Default)]
+    pub struct ConsensusScratch {
+        cand: Vec<u64>,
+        ids: Vec<usize>,
+        pieces: Vec<Cube>,
+        next: Vec<Cube>,
+        survivors: Vec<Cube>,
+        seen: HashSet<Cube>,
+        lower: Vec<Cube>,
+        upper: Vec<Cube>,
+    }
+
+    /// Sharp every cube of `pieces` by `sub`, double-buffering through
+    /// `next`; returns `false` when nothing is left.
+    fn sharp_pieces(pieces: &mut Vec<Cube>, next: &mut Vec<Cube>, sub: &Cube) -> bool {
+        next.clear();
+        for p in pieces.drain(..) {
+            if p.intersect(sub).is_none() {
+                next.push(p);
+            } else {
+                next.extend(p.sharp(sub));
+            }
+        }
+        std::mem::swap(pieces, next);
+        !pieces.is_empty()
+    }
+
+    /// Expand `piece` into a prime implicant of `on ∪ dc` by freeing every
+    /// bound variable whose widened cube still avoids the off-set.
+    fn expand_against_off(
+        piece: Cube,
+        n: usize,
+        off_index: &CoverIndex,
+        cand: &mut Vec<u64>,
+    ) -> Cube {
+        let mut grown = piece;
+        for v in 0..n {
+            if grown.literal(v) == Literal::DontCare {
+                continue;
+            }
+            let widened = grown.with_literal(v, Literal::DontCare);
+            if !off_index.intersecting_candidates(&widened, cand) {
+                grown = widened;
+            }
+        }
+        grown
+    }
+
+    /// Augment `base` with the consensus primes needed so that no on-set
+    /// single-input-change adjacency is hazardous.
+    pub fn add_consensus_terms_on_pairs(on: &Cover, off: &Cover, base: &Cover) -> Cover {
+        add_consensus_terms_on_pairs_with(on, off, base, &mut ConsensusScratch::default())
+    }
+
+    /// [`add_consensus_terms_on_pairs`] with caller-provided scratch buffers.
+    pub fn add_consensus_terms_on_pairs_with(
+        on: &Cover,
+        off: &Cover,
+        base: &Cover,
+        scratch: &mut ConsensusScratch,
+    ) -> Cover {
+        let n = base.num_vars();
+        let mut cover = IndexedCover::build(base);
+        let off_index = CoverIndex::build(off);
+        let ConsensusScratch {
+            cand,
+            ids,
+            pieces,
+            next,
+            survivors,
+            seen,
+            lower,
+            upper,
+        } = scratch;
+        for var in 0..n {
+            // Regions of pairs with both ends in the on-set: free `var` in every
+            // on-cube admitting each phase and intersect across phases (a cube
+            // free in `var` lands on both sides, covering the pairs inside it).
+            lower.clear();
+            lower.extend(
+                on.cubes()
+                    .iter()
+                    .filter(|c| c.literal(var) != Literal::One)
+                    .map(|c| c.with_literal(var, Literal::DontCare)),
+            );
+            upper.clear();
+            upper.extend(
+                on.cubes()
+                    .iter()
+                    .filter(|c| c.literal(var) != Literal::Zero)
+                    .map(|c| c.with_literal(var, Literal::DontCare)),
+            );
+            seen.clear();
+            for a in lower.iter() {
+                for b in upper.iter() {
+                    let Some(q) = a.intersect(b) else { continue };
+                    if !seen.insert(q.clone()) {
+                        continue; // distinct on-pairs often share their region
+                    }
+                    if cover.index().covering_candidates(&q, cand) {
+                        continue; // a var-free cube already covers every pair
+                    }
+                    // Drop the pairs a single var-free cube already covers —
+                    // including the primes pushed earlier in this very pass,
+                    // which the incremental index tracks.
+                    pieces.clear();
+                    pieces.push(q);
+                    if cover
+                        .index()
+                        .free_intersecting_ids(var, &pieces[0], cand, ids)
+                    {
+                        ids.sort_by_key(|&i| cover.cubes()[i].literal_count());
+                        for &i in ids.iter() {
+                            if !sharp_pieces(pieces, next, &cover.cubes()[i]) {
+                                break;
+                            }
+                        }
+                    }
+                    std::mem::swap(pieces, survivors);
+                    for piece in survivors.drain(..) {
+                        if cover.index().covering_candidates(&piece, cand) {
+                            continue; // fixed by a prime grown from an earlier piece of q
+                        }
+                        // Both ends of every pair in the piece are on-set points,
+                        // so the piece avoids the off-set; expand it to a prime.
+                        let grown = expand_against_off(piece, n, &off_index, cand);
+                        cover.push(grown);
+                    }
+                }
+            }
+        }
+        cover.into_cover()
+    }
+}

@@ -79,6 +79,17 @@ const SLOTS_PER_WORD: usize = 32;
 /// Mask of every low ("can-be-0") field bit.
 const LO_BITS: u64 = 0x5555_5555_5555_5555;
 
+/// How two cubes meet (see [`Cube::meet`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Meet {
+    /// The cubes intersect.
+    Overlap,
+    /// The cubes conflict in exactly this variable.
+    Adjacent(usize),
+    /// The cubes conflict in two or more variables.
+    Far,
+}
+
 /// Storage for the packed fields: cubes of at most [`SLOTS_PER_WORD`]
 /// variables (every MCNC-scale benchmark) live in a single inline word and
 /// never touch the heap; wider cubes spill into a boxed word slice.
@@ -493,6 +504,51 @@ impl Cube {
             num_vars: self.num_vars,
             repr,
         })
+    }
+
+    /// Classify how two cubes meet: [`Meet::Overlap`] at distance 0,
+    /// [`Meet::Adjacent`] with the one conflicting variable at distance 1,
+    /// [`Meet::Far`] beyond — a word-parallel pass that stops at the second
+    /// conflict.
+    pub(crate) fn meet(&self, other: &Cube) -> Meet {
+        debug_assert_eq!(self.num_vars, other.num_vars);
+        let mut adjacent = None;
+        for (w, (&a, &b)) in self.words().iter().zip(other.words()).enumerate() {
+            // Padding fields stay 11, so only real variables can be empty.
+            let t = a & b;
+            let empty = !(t | (t >> 1)) & LO_BITS;
+            if empty == 0 {
+                continue;
+            }
+            if adjacent.is_some() || empty & (empty - 1) != 0 {
+                return Meet::Far;
+            }
+            adjacent = Some(w * SLOTS_PER_WORD + empty.leading_zeros() as usize / 2);
+        }
+        adjacent.map_or(Meet::Overlap, Meet::Adjacent)
+    }
+
+    /// Call `f` on every variable where `self` admits 0 and `upper` admits 1
+    /// (the variables whose transitions a cube pair can straddle), one
+    /// word-parallel mask per word.
+    pub(crate) fn for_each_straddle(&self, upper: &Cube, mut f: impl FnMut(usize)) {
+        debug_assert_eq!(self.num_vars, upper.num_vars);
+        for (w, (&a, &b)) in self.words().iter().zip(upper.words()).enumerate() {
+            let mut bits = a & (b >> 1) & LO_BITS & valid_mask(self.num_vars, w);
+            while bits != 0 {
+                f(w * SLOTS_PER_WORD + (SLOTS_PER_WORD - 1) - bits.trailing_zeros() as usize / 2);
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// `self ∧ other` with `var` reopened to don't-care: for cubes whose only
+    /// conflict (if any) is at `var`, the region of `var`-transitions with
+    /// one end in each cube.
+    pub(crate) fn meet_freed(&self, other: &Cube, var: usize) -> Cube {
+        let mut region = self.and_cube(other);
+        region.set_literal(var, Literal::DontCare);
+        region
     }
 
     /// Attempt the Quine–McCluskey adjacency merge: if the cubes have identical
@@ -952,5 +1008,38 @@ mod tests {
         let a = Cube::parse("10-").unwrap();
         let b = Cube::parse("11-").unwrap();
         assert!(a < b);
+    }
+
+    #[test]
+    fn meet_and_straddle_agree_with_literals_across_words() {
+        // 40 variables: the second packed word holds variables 32..40.
+        let base: String = "-".repeat(40);
+        let with = |edits: &[(usize, char)]| {
+            let mut s: Vec<char> = base.chars().collect();
+            for &(v, c) in edits {
+                s[v] = c;
+            }
+            Cube::parse(&s.into_iter().collect::<String>()).unwrap()
+        };
+        let a = with(&[(3, '0'), (35, '1'), (39, '0')]);
+        assert_eq!(a.meet(&with(&[(3, '-'), (35, '1')])), Meet::Overlap);
+        assert_eq!(a.meet(&with(&[(35, '0')])), Meet::Adjacent(35));
+        assert_eq!(a.meet(&with(&[(3, '1')])), Meet::Adjacent(3));
+        assert_eq!(a.meet(&with(&[(3, '1'), (39, '1')])), Meet::Far);
+        assert_eq!(a.meet(&with(&[(35, '0'), (39, '1')])), Meet::Far);
+
+        let b = with(&[(3, '1'), (20, '0'), (35, '1')]);
+        let mut straddled = Vec::new();
+        a.for_each_straddle(&b, |v| straddled.push(v));
+        straddled.sort_unstable();
+        let expected: Vec<usize> = (0..40)
+            .filter(|&v| a.literal(v) != Literal::One && b.literal(v) != Literal::Zero)
+            .collect();
+        assert_eq!(straddled, expected);
+
+        let c = with(&[(35, '0')]);
+        let freed = a.meet_freed(&c, 35);
+        assert_eq!(freed, a.consensus(&c).unwrap());
+        assert_eq!(freed.literal(35), Literal::DontCare);
     }
 }

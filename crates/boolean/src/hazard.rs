@@ -36,10 +36,18 @@
 //! [`add_consensus_terms_on_pairs`]) keep the index **incrementally
 //! up to date** as they push primes, so every coverage test reflects the
 //! cover as it grows, at push cost linear in the variable count.
+//!
+//! ## On-pair join
+//!
+//! [`add_consensus_terms_on_pairs`] needs the regions of on-cube pairs for
+//! every variable. Instead of intersecting every (lower, upper) pair once per
+//! variable, it makes one distance pass over the on-cover and buckets each
+//! pair at distance 0 or 1 under the variables it straddles; pairs at
+//! distance 2 or more stay disjoint whichever single variable is freed.
 
 use crate::collections::HashSet;
-use crate::cube::sharp_pieces;
-use crate::index::{CoverIndex, IndexedCover};
+use crate::cube::{sharp_pieces, Meet};
+use crate::index::{BitIds, CoverIndex, IndexedCover};
 use crate::{all_primes_cover, Cover, Cube, Function, Literal};
 
 /// A potential static-1 hazard between two adjacent on-set vertices.
@@ -88,9 +96,9 @@ struct RegionScratch {
 /// Reusable buffers for the consensus-augmentation engines
 /// ([`add_consensus_terms_cover`], [`add_consensus_terms_on_pairs`]): the
 /// static-hazard region engine's internal scratch plus the candidate
-/// bitsets, id lists,
-/// double-buffered sharp accumulators, phase-cube buffers and the region
-/// dedup set of the augmentation loops themselves.
+/// bitsets, id lists, double-buffered sharp accumulators and region dedup
+/// set of the augmentation loops, the per-variable on-pair lists of the
+/// on-pair join and its per-on-cube covering hints.
 ///
 /// One instance can serve any number of consecutive calls (each call clears
 /// what it uses but keeps the capacity), which is what lets a long-lived
@@ -108,8 +116,8 @@ pub struct ConsensusScratch {
     next: Vec<Cube>,
     survivors: Vec<Cube>,
     seen: HashSet<Cube>,
-    lower: Vec<Cube>,
-    upper: Vec<Cube>,
+    pairs: Vec<Vec<u64>>,
+    hints: Vec<Option<usize>>,
 }
 
 /// The hazardous regions of `cover` for variable `var`, appended to `out` as
@@ -411,10 +419,19 @@ fn expand_against_off(piece: Cube, n: usize, off_index: &CoverIndex, cand: &mut 
 /// asynchronous machine only ever occupies *specified* total states, so the
 /// 1→1 transitions it can actually exercise are exactly the on/on
 /// adjacencies — don't-care points the implementation happens to cover are
-/// unreachable. Cost is quadratic in the **on-cover** size (regions are built
-/// from on-cube pairs), independent of how large the implementation cover or
-/// the space grows, where [`add_consensus_terms_cover`] closes over every
-/// covered adjacency and can enumerate a prime set exponentially larger.
+/// unreachable. The regions come from on-cube pairs, independent of how large
+/// the implementation cover or the space grows, where
+/// [`add_consensus_terms_cover`] closes over every covered adjacency and can
+/// enumerate a prime set exponentially larger.
+///
+/// Cost: one distance pass over the `m(m+1)/2` unordered pairs of the
+/// `m`-cube on-cover finds every pair that can straddle a variable —
+/// freeing one variable removes at most one conflict, so only pairs at
+/// distance 0 or 1 qualify, and a distance-1 pair serves just its
+/// conflicting variable. Each variable then walks only its own pairs, in the
+/// order of a nested (lower, upper) loop, so the result does not depend on
+/// how the pairs were found. A region is first tested against the cube that
+/// last covered a region of either of its on-cubes, then against the index.
 ///
 /// A single pass suffices: the result only ever grows, so an on/on pair
 /// fixed once stays fixed.
@@ -450,68 +467,111 @@ pub fn add_consensus_terms_on_pairs_with(
         next,
         survivors,
         seen,
-        lower,
-        upper,
+        pairs,
+        hints,
         ..
     } = scratch;
-    for var in 0..n {
-        // Regions of pairs with both ends in the on-set: free `var` in every
-        // on-cube admitting each phase and intersect across phases (a cube
-        // free in `var` lands on both sides, covering the pairs inside it).
-        lower.clear();
-        lower.extend(
-            on.cubes()
-                .iter()
-                .filter(|c| c.literal(var) != Literal::One)
-                .map(|c| c.with_literal(var, Literal::DontCare)),
-        );
-        upper.clear();
-        upper.extend(
-            on.cubes()
-                .iter()
-                .filter(|c| c.literal(var) != Literal::Zero)
-                .map(|c| c.with_literal(var, Literal::DontCare)),
-        );
+    let on = on.cubes();
+    assert!(u32::try_from(on.len()).is_ok(), "on-cube ids fit pair keys");
+    on_pairs_by_var(on, n, pairs);
+    hints.clear();
+    hints.resize(on.len(), None);
+    for (var, keys) in pairs.iter().enumerate().take(n) {
         seen.clear();
-        for a in lower.iter() {
-            for b in upper.iter() {
-                let Some(q) = a.intersect(b) else { continue };
-                if !seen.insert(q.clone()) {
-                    continue; // distinct on-pairs often share their region
-                }
-                if cover.index().covering_candidates(&q, cand) {
-                    continue; // a var-free cube already covers every pair
-                }
-                // Drop the pairs a single var-free cube already covers —
-                // including the primes pushed earlier in this very pass,
-                // which the incremental index tracks.
-                pieces.clear();
-                pieces.push(q);
-                if cover
-                    .index()
-                    .free_intersecting_ids(var, &pieces[0], cand, ids)
-                {
-                    ids.sort_by_key(|&i| cover.cubes()[i].literal_count());
-                    for &i in ids.iter() {
-                        if !sharp_pieces(pieces, next, &cover.cubes()[i]) {
-                            break;
-                        }
+        for &key in keys {
+            let (lower, upper) = ((key >> 32) as usize, key as u32 as usize);
+            // The pair's region: both cubes freed in `var` and intersected.
+            let q = on[lower].meet_freed(&on[upper], var);
+            // Regions of one on-cube tend to share a covering cube, so the
+            // last one found for either end is tried before the index. The
+            // cover only grows, so a region skipped here unrecorded in `seen`
+            // would be found covered again on any later visit.
+            let hinted = [hints[lower], hints[upper]];
+            if hinted
+                .into_iter()
+                .flatten()
+                .any(|h| cover.cubes()[h].covers(&q))
+            {
+                continue;
+            }
+            if !seen.insert(q.clone()) {
+                continue; // distinct on-pairs often share their region
+            }
+            if cover.index().covering_candidates(&q, cand) {
+                let found = BitIds::new(cand).next();
+                (hints[lower], hints[upper]) = (found, found);
+                continue; // a var-free cube already covers every pair
+            }
+            // Drop the pairs a single var-free cube already covers —
+            // including the primes pushed earlier in this very pass,
+            // which the incremental index tracks.
+            pieces.clear();
+            pieces.push(q);
+            if cover
+                .index()
+                .free_intersecting_ids(var, &pieces[0], cand, ids)
+            {
+                ids.sort_by_key(|&i| cover.cubes()[i].literal_count());
+                for &i in ids.iter() {
+                    if !sharp_pieces(pieces, next, &cover.cubes()[i]) {
+                        break;
                     }
                 }
-                std::mem::swap(pieces, survivors);
-                for piece in survivors.drain(..) {
-                    if cover.index().covering_candidates(&piece, cand) {
-                        continue; // fixed by a prime grown from an earlier piece of q
-                    }
-                    // Both ends of every pair in the piece are on-set points,
-                    // so the piece avoids the off-set; expand it to a prime.
-                    let grown = expand_against_off(piece, n, &off_index, cand);
-                    cover.push(grown);
+            }
+            std::mem::swap(pieces, survivors);
+            for piece in survivors.drain(..) {
+                if cover.index().covering_candidates(&piece, cand) {
+                    continue; // fixed by a prime grown from an earlier piece of q
                 }
+                // Both ends of every pair in the piece are on-set points,
+                // so the piece avoids the off-set; expand it to a prime.
+                let grown = expand_against_off(piece, n, &off_index, cand);
+                cover.push(grown);
             }
         }
     }
     cover.into_cover()
+}
+
+/// Bucket the on-cube pairs of `on` under the variables whose transitions
+/// they straddle: `pairs[var]` receives the key `lower << 32 | upper` of
+/// every (lower, upper) pair of on-cube indices whose cubes, freed in `var`,
+/// intersect — the lower cube admitting `var = 0`, the upper `var = 1` — in
+/// increasing key order, the order of a nested walk over lower then upper
+/// cubes.
+///
+/// One distance pass over the unordered pairs (a cube paired with itself
+/// included) finds them all: freeing one variable removes at most one
+/// conflict, so a pair at distance 1 serves only its conflicting variable,
+/// oriented from its 0 side to its 1 side, a pair at distance 0 serves each
+/// variable its phases straddle, in either orientation, and a pair at
+/// distance 2 or more serves none.
+fn on_pairs_by_var(on: &[Cube], n: usize, pairs: &mut Vec<Vec<u64>>) {
+    if pairs.len() < n {
+        pairs.resize_with(n, Vec::new);
+    }
+    for keys in pairs.iter_mut() {
+        keys.clear();
+    }
+    let key = |lower: usize, upper: usize| (lower as u64) << 32 | upper as u64;
+    for (i, a) in on.iter().enumerate() {
+        for (j, b) in on.iter().enumerate().skip(i) {
+            match a.meet(b) {
+                Meet::Far => {}
+                Meet::Adjacent(v) if a.literal(v) == Literal::Zero => pairs[v].push(key(i, j)),
+                Meet::Adjacent(v) => pairs[v].push(key(j, i)),
+                Meet::Overlap => {
+                    a.for_each_straddle(b, |v| pairs[v].push(key(i, j)));
+                    if i != j {
+                        b.for_each_straddle(a, |v| pairs[v].push(key(j, i)));
+                    }
+                }
+            }
+        }
+    }
+    for keys in &mut pairs[..n] {
+        keys.sort_unstable();
+    }
 }
 
 #[cfg(test)]

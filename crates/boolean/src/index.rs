@@ -210,8 +210,9 @@ impl CoverIndex {
     /// Compute the covering-candidate bitset of `q` into `cand` (resized and
     /// seeded internally); returns `false` if it is empty. A set bit `i`
     /// means cube `i` covers `q` — the bucket algebra is exact, so no
-    /// verification pass over the cubes is needed.
-    pub(crate) fn covering_candidates(&self, q: &Cube, cand: &mut Vec<u64>) -> bool {
+    /// verification pass over the cubes is needed. After a `false` return
+    /// the contents of `cand` are unspecified.
+    pub fn covering_candidates(&self, q: &Cube, cand: &mut Vec<u64>) -> bool {
         debug_assert_eq!(q.num_vars(), self.num_vars);
         if self.len == 0 {
             return false;
@@ -258,8 +259,9 @@ impl CoverIndex {
 
     /// Compute the intersecting-candidate bitset of `q` into `cand`; returns
     /// `false` if it is empty. A set bit `i` means cube `i` shares a minterm
-    /// with `q` (exact — free positions of `q` constrain nothing).
-    pub(crate) fn intersecting_candidates(&self, q: &Cube, cand: &mut Vec<u64>) -> bool {
+    /// with `q` (exact — free positions of `q` constrain nothing). After a
+    /// `false` return the contents of `cand` are unspecified.
+    pub fn intersecting_candidates(&self, q: &Cube, cand: &mut Vec<u64>) -> bool {
         debug_assert_eq!(q.num_vars(), self.num_vars);
         if self.len == 0 {
             return false;
